@@ -182,8 +182,10 @@ impl Tuple {
     /// Two composites with equal lineage represent the same logical join
     /// result regardless of the join order that produced them; this is the
     /// identity used for duplicate elimination and output comparison.
+    ///
+    /// Sized to the arity up front, so building it makes one allocation.
     pub fn lineage(&self) -> Lineage {
-        let mut parts = Vec::with_capacity(4);
+        let mut parts = Vec::with_capacity(self.arity());
         self.for_each_base(&mut |b| parts.push((b.stream, b.seq)));
         Lineage::new(parts)
     }

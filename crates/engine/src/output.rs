@@ -1,6 +1,6 @@
 //! Query output sink: the root operator's emission log.
 
-use jisc_common::{FxHashMap, Key, Lineage, Tuple};
+use jisc_common::{FxHashMap, Key, Lineage, SeqNo, Tuple};
 
 /// Collects everything the plan root emits.
 ///
@@ -80,12 +80,16 @@ impl OutputSink {
 
     /// Merge per-shard sinks into one deterministic sink.
     ///
-    /// Join logs are concatenated and sorted by lineage, which is a total
-    /// order independent of shard interleaving, so the merged log is
-    /// byte-identical across runs and comparable (as a multiset) to a serial
-    /// execution. Aggregate logs are concatenated in shard order — they are
-    /// per-shard running sequences, not a global one. Latency marks are
-    /// pooled and sorted; retraction counts are summed.
+    /// Join logs are concatenated and put in canonical order: by
+    /// `(max_seq, min_seq)`, then by lineage, then by position in the
+    /// concatenation (sink order, then emission order). The order depends
+    /// only on each output's lineage, not on shard interleaving, so the
+    /// merged log is byte-identical across runs and comparable (as a
+    /// multiset) to a serial execution. Both seqs are cached on the root
+    /// tuple, so only outputs tied on both walk their lineage trees.
+    /// Aggregate logs are concatenated in shard order — they are per-shard
+    /// running sequences, not a global one. Latency marks are pooled and
+    /// sorted; retraction counts are summed.
     pub fn merged(sinks: impl IntoIterator<Item = OutputSink>) -> OutputSink {
         let mut out = OutputSink::new();
         for s in sinks {
@@ -94,9 +98,32 @@ impl OutputSink {
             out.retractions += s.retractions;
             out.latency_marks.extend(s.latency_marks);
         }
-        out.log.sort_by_cached_key(|t| t.lineage());
+        sort_canonical(&mut out.log);
         out.latency_marks.sort_unstable();
         out
+    }
+}
+
+/// Sort `log` by `(max_seq, min_seq, lineage, position)`.
+///
+/// Sorts compact `(max_seq, min_seq, position)` keys, orders each run tied
+/// on both seqs by lineage (stably, so equal lineages keep their
+/// positions), then permutes the log once.
+fn sort_canonical(log: &mut Vec<Tuple>) {
+    let mut keys: Vec<(SeqNo, SeqNo, usize)> = log
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (t.max_seq(), t.min_seq(), i))
+        .collect();
+    keys.sort_unstable();
+    for run in keys.chunk_by_mut(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        if run.len() > 1 {
+            run.sort_by_cached_key(|k| log[k.2].lineage());
+        }
+    }
+    let mut slots: Vec<Option<Tuple>> = log.drain(..).map(Some).collect();
+    for &(_, _, i) in &keys {
+        log.push(slots[i].take().expect("each position once"));
     }
 }
 
@@ -104,9 +131,128 @@ impl OutputSink {
 mod tests {
     use super::*;
     use jisc_common::{BaseTuple, StreamId};
+    use proptest::prelude::*;
 
     fn bt(stream: u16, seq: u64, key: Key) -> Tuple {
         Tuple::base(BaseTuple::new(StreamId(stream), seq, key, 0))
+    }
+
+    /// Left-deep composite of `(stream, seq)` constituents; `tag` goes in
+    /// every payload, so outputs with equal lineages stay distinguishable.
+    fn composite(parts: &[(u16, u64)], tag: u64) -> Tuple {
+        let base = |&(s, q): &(u16, u64)| Tuple::base(BaseTuple::new(StreamId(s), q, 7, tag));
+        let mut it = parts.iter();
+        let first = base(it.next().expect("at least one constituent"));
+        it.fold(first, |acc, p| Tuple::joined(7, acc, base(p)))
+    }
+
+    fn sink(log: Vec<Tuple>) -> OutputSink {
+        OutputSink {
+            log,
+            ..OutputSink::default()
+        }
+    }
+
+    /// The canonical order, spelled out: a stable sort of the concatenated
+    /// logs on `(max_seq, min_seq, lineage)`.
+    fn reference(sinks: &[OutputSink]) -> Vec<Tuple> {
+        let mut log: Vec<Tuple> = sinks.iter().flat_map(|s| s.log.iter().cloned()).collect();
+        log.sort_by_cached_key(|t| (t.max_seq(), t.min_seq(), t.lineage()));
+        log
+    }
+
+    fn assert_matches_reference(sinks: Vec<OutputSink>) -> Vec<Tuple> {
+        let want = reference(&sinks);
+        let got = OutputSink::merged(sinks).log;
+        assert_eq!(got, want);
+        got
+    }
+
+    #[test]
+    fn merged_orders_seq_ties_by_lineage_across_sinks() {
+        // All four share max_seq 9 and min_seq 1; only the lineage differs.
+        let a = sink(vec![
+            composite(&[(0, 1), (1, 5), (2, 9)], 0),
+            composite(&[(0, 1), (2, 9)], 0),
+        ]);
+        let b = sink(vec![
+            composite(&[(0, 1), (1, 3), (2, 9)], 1),
+            composite(&[(2, 9), (0, 1), (1, 4)], 1),
+            composite(&[(0, 2), (1, 3)], 1),
+        ]);
+        let got = assert_matches_reference(vec![a, b]);
+        let lineages: Vec<String> = got.iter().map(|t| format!("{:?}", t.lineage())).collect();
+        assert_eq!(
+            lineages,
+            [
+                "[S0#2,S1#3]",
+                "[S0#1,S1#3,S2#9]",
+                "[S0#1,S1#4,S2#9]",
+                "[S0#1,S1#5,S2#9]",
+                "[S0#1,S2#9]",
+            ]
+        );
+    }
+
+    #[test]
+    fn merged_keeps_equal_lineages_in_sink_then_emission_order() {
+        // Same lineage, different join shapes and payload tags.
+        let a = sink(vec![
+            composite(&[(0, 1), (1, 2), (2, 3)], 10),
+            composite(&[(2, 3), (1, 2), (0, 1)], 11),
+        ]);
+        let b = sink(vec![
+            composite(&[(1, 2), (0, 1), (2, 3)], 20),
+            composite(&[(0, 1), (1, 2), (2, 3)], 21),
+        ]);
+        let got = assert_matches_reference(vec![a, b]);
+        let tags: Vec<u64> = got
+            .iter()
+            .map(|t| t.base_for(StreamId(0)).unwrap().payload)
+            .collect();
+        assert_eq!(tags, [10, 11, 20, 21]);
+    }
+
+    #[test]
+    fn merged_orders_base_outputs() {
+        let a = sink(vec![bt(1, 8, 0), bt(0, 3, 0), bt(2, 5, 0)]);
+        let b = sink(vec![bt(0, 5, 0), bt(3, 1, 0)]);
+        let got = assert_matches_reference(vec![a, b]);
+        let ids: Vec<(StreamId, u64)> = got.iter().map(|t| t.lineage().parts()[0]).collect();
+        let want = [(3, 1), (0, 3), (0, 5), (2, 5), (1, 8)].map(|(s, q)| (StreamId(s), q));
+        assert_eq!(ids, want);
+    }
+
+    #[test]
+    fn merged_handles_empty_sinks() {
+        assert!(OutputSink::merged(Vec::new()).log.is_empty());
+        let empties = vec![sink(vec![]), sink(vec![])];
+        assert!(OutputSink::merged(empties).log.is_empty());
+        let got = assert_matches_reference(vec![
+            sink(vec![]),
+            sink(vec![composite(&[(0, 4), (1, 2)], 0), bt(0, 3, 0)]),
+            sink(vec![]),
+        ]);
+        assert_eq!(got.len(), 2);
+    }
+
+    proptest! {
+        /// Random composites over a small seq range (so seq ties are
+        /// common), split into random sinks, merge to the reference order.
+        #[test]
+        fn merged_matches_reference_sort(
+            outputs in proptest::collection::vec(
+                (proptest::collection::vec((0u16..3, 0u64..5), 1..5), 0usize..4, 0u64..3),
+                0..60,
+            ),
+        ) {
+            let mut sinks: Vec<OutputSink> = (0..4).map(|_| OutputSink::new()).collect();
+            for (parts, shard, tag) in &outputs {
+                sinks[*shard].log.push(composite(parts, *tag));
+            }
+            let want = reference(&sinks);
+            prop_assert_eq!(OutputSink::merged(sinks).log, want);
+        }
     }
 
     #[test]

@@ -376,7 +376,7 @@ pub struct ShardedReport {
     /// Whether the merged output is guaranteed lineage-equal to a serial
     /// run of the same arrival sequence.
     pub exactness: Exactness,
-    /// Merged, lineage-sorted output.
+    /// Merged output in canonical order (see [`OutputSink::merged`]).
     pub output: OutputSink,
     /// Summed execution counters.
     pub metrics: Metrics,
@@ -1985,30 +1985,50 @@ mod tests {
     }
 
     #[test]
-    fn merged_output_is_deterministic_and_lineage_sorted() {
-        let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
-        let events = arrivals(400, 2, 9);
-        let run = |n| {
+    fn merged_output_is_deterministic_and_canonically_ordered() {
+        let spec = PlanSpec::left_deep(&["R", "S", "T"], JoinStyle::Hash);
+        let new_spec = PlanSpec::left_deep(&["T", "S", "R"], JoinStyle::Hash);
+        // Four keys over three streams: every key recurs within the window,
+        // so many outputs tie on (max_seq, min_seq) and need the lineage.
+        let events = arrivals(300, 3, 4);
+        let run = |n, migrate: bool| {
             let mut exec = ShardedExecutor::spawn(
-                timed_catalog(&["R", "S"], 30),
+                timed_catalog(&["R", "S", "T"], 30),
                 &spec,
                 ShardSemantics::Jisc,
                 n,
                 32,
             )
             .unwrap();
-            for &(s, k, p) in &events {
+            for (i, &(s, k, p)) in events.iter().enumerate() {
+                if migrate && i == events.len() / 2 {
+                    exec.transition(&new_spec).unwrap();
+                }
                 exec.push(StreamId(s), k, p).unwrap();
             }
             exec.finish().unwrap()
         };
-        let a = run(4);
-        let b = run(4);
-        assert_eq!(a.output.log, b.output.log, "merge must be deterministic");
-        let lineages: Vec<_> = a.output.log.iter().map(|t| t.lineage()).collect();
-        let mut sorted = lineages.clone();
-        sorted.sort();
-        assert_eq!(lineages, sorted);
+        for (n, migrate) in [(1, false), (2, false), (4, false), (4, true)] {
+            let a = run(n, migrate);
+            let b = run(n, migrate);
+            assert_eq!(a.output.log, b.output.log, "merge must be deterministic");
+            assert_eq!(a.transitions, u64::from(migrate));
+            let keys: Vec<_> = a
+                .output
+                .log
+                .iter()
+                .map(|t| (t.max_seq(), t.min_seq(), t.lineage()))
+                .collect();
+            assert!(
+                keys.windows(2).all(|w| w[0] <= w[1]),
+                "shards={n} migrate={migrate}: not in (max_seq, min_seq, lineage) order"
+            );
+            assert!(
+                keys.windows(2)
+                    .any(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1) && w[0].2 != w[1].2),
+                "shards={n} migrate={migrate}: no seq ties to order by lineage"
+            );
+        }
     }
 
     #[test]
