@@ -1,6 +1,6 @@
 //! The public facade: one engine, pluggable migration strategy.
 
-use jisc_common::{Event, Key, Metrics, Result, StreamId, TupleBatch};
+use jisc_common::{Event, Key, Metrics, Result, StreamId};
 use jisc_engine::{BaseStateSnapshot, Catalog, OutputSink, PlanSpec};
 use serde::{Deserialize, Serialize};
 
@@ -99,15 +99,6 @@ impl AdaptiveEngine {
             Inner::Jisc(e) => e.push_at(stream, key, payload, ts),
             Inner::Ms(e) => e.push_at(stream, key, payload, ts),
             Inner::Pt(e) => e.push_at(stream, key, payload, ts),
-        }
-    }
-
-    /// Process a whole batch of arrivals to quiescence.
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        match &mut self.inner {
-            Inner::Jisc(e) => e.push_batch(batch),
-            Inner::Ms(e) => e.push_batch(batch),
-            Inner::Pt(e) => e.push_batch(batch),
         }
     }
 

@@ -26,7 +26,7 @@
 //! optimization and for metrics.
 
 use jisc_common::Tuple;
-use jisc_common::{hash_key, Event, FxHashSet, Key, Result, TupleBatch};
+use jisc_common::{hash_key, Event, FxHashSet, Key, Result};
 use jisc_engine::ops;
 use jisc_engine::{NodeId, OpKind, Payload, Pipeline, PlanSpec, QueueItem, Semantics, Signature};
 
@@ -577,7 +577,7 @@ impl EventSemantics for jisc_engine::DefaultSemantics {
 }
 
 /// Apply one in-band event to a pipeline: the single consumption path for
-/// the unified event stream. `Batch` runs the batched ingest,
+/// the unified event stream. `Columnar` runs the batched ingest,
 /// `Expiry` advances the watermark, `MigrationBarrier` performs the
 /// semantics' plan transition, and `Flush` drains all operator queues.
 pub fn apply_event<S: EventSemantics>(
@@ -586,7 +586,6 @@ pub fn apply_event<S: EventSemantics>(
     ev: Event<PlanSpec>,
 ) -> Result<()> {
     match ev {
-        Event::Batch(batch) => p.push_batch_with(sem, &batch),
         Event::Columnar(batch) => p.push_columnar_with(sem, &batch),
         Event::Expiry(ts) => p.advance_watermark_with(sem, ts),
         Event::Watermark(ts) => p.apply_watermark_with(sem, ts),
@@ -652,11 +651,6 @@ impl JiscExec {
     ) -> Result<()> {
         self.pipe
             .push_at_with(&mut self.sem, stream, key, payload, ts)
-    }
-
-    /// Process a whole batch of arrivals to quiescence.
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        self.pipe.push_batch_with(&mut self.sem, batch)
     }
 
     /// Process a whole columnar batch through the vectorized kernel path.

@@ -111,7 +111,7 @@ pub fn install_range(p: &mut Pipeline, export: &BaseRangeExport, mode: RecoveryM
 mod tests {
     use super::*;
     use jisc_common::{hash_key, PartitionMap, SplitMix64, StreamId};
-    use jisc_engine::{Catalog, JoinStyle, PlanSpec};
+    use jisc_engine::{Catalog, JoinStyle, PlanSpec, StreamDef};
 
     const STREAMS: [&str; 3] = ["R", "S", "T"];
 
@@ -237,6 +237,43 @@ mod tests {
             reference.output.lineage_multiset(),
             "rescaled pair diverged from the never-rescaled reference"
         );
+    }
+
+    /// Expiry can make a moved key's completion debt moot: once a child
+    /// holds nothing for the key, there is nothing left to complete. A
+    /// per-arrival push runs its window slide's removals before it
+    /// enqueues the insert, so the removal walk sees the children without
+    /// the new arrival and drops the debt — per-tuple ingest drains the
+    /// handover debt just as batched ingest does.
+    #[test]
+    fn jit_debt_drains_under_per_arrival_ingest() {
+        let catalog =
+            || Catalog::new(STREAMS.iter().map(|n| StreamDef::timed(*n, 40)).collect()).unwrap();
+        let spec = PlanSpec::left_deep(&STREAMS, JoinStyle::Hash);
+        let arrivals: Vec<(u16, u64)> = (0..600u64)
+            .map(|i| ((i % 3) as u16, (i * 7 + 3) % 17))
+            .collect();
+        let mut source = Pipeline::new(catalog(), &spec).unwrap();
+        for &(s, k) in &arrivals[..300] {
+            source.push(StreamId(s), k, 0).unwrap();
+        }
+        let (map, moved_to) = PartitionMap::uniform(1).split_key(3, None);
+        let export = extract_range(&mut source, &map.ranges_of(moved_to)).unwrap();
+        let mut target = Pipeline::new(catalog(), &spec).unwrap();
+        install_range(&mut target, &export, RecoveryMode::JustInTime).unwrap();
+        let incomplete = |p: &Pipeline| crate::jisc::incomplete_state_count(p);
+        assert!(incomplete(&target) > 0, "the moved key is completion debt");
+
+        let mut sem = crate::jisc::JiscSemantics::default();
+        for (i, &(s, k)) in arrivals.iter().enumerate().skip(300) {
+            if k == 3 {
+                target.set_next_seq(i as u64);
+                target
+                    .push_at_with(&mut sem, StreamId(s), k, 0, i as u64)
+                    .unwrap();
+            }
+        }
+        assert_eq!(incomplete(&target), 0, "expiry-moot debt must drain");
     }
 
     /// The source's pending debt for moved keys is erased; states whose

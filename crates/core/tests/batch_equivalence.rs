@@ -2,18 +2,20 @@
 //! per-tuple execution.
 //!
 //! Random multi-stream scenarios — count and time windows, with mid-stream
-//! migrations at random points — are run twice per strategy: once pushing
-//! every arrival individually, once through the unified event stream in
-//! [`TupleBatch`]es of size 1, 7, 64 and 256. Migration points rarely fall
-//! on a batch boundary, so the [`Event::MigrationBarrier`] routinely lands
+//! migrations and expiry watermarks at random points — are run twice per
+//! strategy: once pushing every arrival individually, once through the
+//! unified event stream in [`ColumnarBatch`]es of size 1, 7, 64 and 256
+//! and cut at the case's own arbitrary partition points. Migration and
+//! expiry points rarely fall on a batch boundary, so the
+//! [`Event::MigrationBarrier`] and [`Event::Expiry`] routinely land
 //! "mid-batch", cutting the current batch short exactly as a router would.
 //! Output lineage multisets must be identical in every configuration, for
 //! all four strategies: plain pipelined execution (no migrations), JISC,
 //! Moving State, and Parallel Track.
 
-use jisc_common::{BatchedTuple, ColumnarBatch, Event, Lineage, StreamId, TupleBatch};
+use jisc_common::{ColumnarBatch, Event, Lineage, StreamId};
 use jisc_core::jisc::apply_event;
-use jisc_core::{AdaptiveEngine, Strategy as Mig};
+use jisc_core::{AdaptiveEngine, JiscExec, Strategy as Mig};
 use jisc_engine::{Catalog, DefaultSemantics, JoinStyle, Pipeline, PlanSpec, StreamDef};
 use proptest::prelude::*;
 
@@ -101,131 +103,92 @@ fn sorted_multiset(m: jisc_common::FxHashMap<Lineage, usize>) -> OutputMultiset 
     v
 }
 
-/// Per-tuple reference run of `strategy` with the case's migrations.
-fn per_tuple(case: &Case, strategy: Mig) -> OutputMultiset {
-    let mut e = AdaptiveEngine::new(case.catalog(), &case.plan(0), strategy).expect("engine");
-    let mut rot = 0usize;
-    for (i, &(s, k)) in case.arrivals.iter().enumerate() {
-        if case.migrations.contains(&i) {
-            rot += 1;
-            e.transition_to(&case.plan(rot)).expect("transition");
-        }
-        e.push(StreamId(s), k, i as u64).expect("push");
-    }
-    sorted_multiset(e.output().lineage_multiset())
-}
-
-/// Batched run of `strategy` over the unified event stream: data in
-/// batches of `batch_size`, migrations as in-band barriers that cut the
-/// current batch short.
-fn batched(case: &Case, strategy: Mig, batch_size: usize) -> OutputMultiset {
-    let mut e = AdaptiveEngine::new(case.catalog(), &case.plan(0), strategy).expect("engine");
-    let mut rot = 0usize;
-    let mut batch = TupleBatch::new(batch_size);
-    for (i, &(s, k)) in case.arrivals.iter().enumerate() {
-        if case.migrations.contains(&i) {
-            if !batch.is_empty() {
-                e.on_event(Event::Batch(batch.clone())).expect("batch");
-                batch.clear();
+/// Per-tuple reference run: `None` is the plain pipeline (DefaultSemantics,
+/// no migrations), `Some` an [`AdaptiveEngine`] under that strategy with
+/// the case's migrations. Both apply the case's expiry watermarks.
+fn per_tuple(case: &Case, strategy: Option<Mig>) -> OutputMultiset {
+    match strategy {
+        None => {
+            let mut pipe = Pipeline::new(case.catalog(), &case.plan(0)).expect("pipeline");
+            for (i, &(s, k)) in case.arrivals.iter().enumerate() {
+                if case.expiries.contains(&i) {
+                    pipe.advance_watermark_with(&mut DefaultSemantics, i as u64)
+                        .expect("expiry");
+                }
+                pipe.push(StreamId(s), k, i as u64).expect("push");
             }
-            rot += 1;
-            e.on_event(Event::MigrationBarrier(case.plan(rot)))
-                .expect("barrier");
+            sorted_multiset(pipe.output.lineage_multiset())
         }
-        batch
-            .push(BatchedTuple::new(StreamId(s), k, i as u64))
-            .expect("batch cut on full");
-        if batch.is_full() {
-            e.on_event(Event::Batch(batch.clone())).expect("batch");
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        e.on_event(Event::Batch(batch)).expect("batch");
-    }
-    sorted_multiset(e.output().lineage_multiset())
-}
-
-/// Plain pipelined execution (DefaultSemantics, no migrations): batched
-/// ingest through `Pipeline::push_batch` against per-tuple `push`.
-fn plain_pair(case: &Case, batch_size: usize) -> (OutputMultiset, OutputMultiset) {
-    let mut reference = Pipeline::new(case.catalog(), &case.plan(0)).expect("pipeline");
-    for (i, &(s, k)) in case.arrivals.iter().enumerate() {
-        reference.push(StreamId(s), k, i as u64).expect("push");
-    }
-    let mut pipe = Pipeline::new(case.catalog(), &case.plan(0)).expect("pipeline");
-    let mut batch = TupleBatch::new(batch_size);
-    for (i, &(s, k)) in case.arrivals.iter().enumerate() {
-        batch
-            .push(BatchedTuple::new(StreamId(s), k, i as u64))
-            .expect("batch cut on full");
-        if batch.is_full() {
-            pipe.push_batch(&batch).expect("push batch");
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        pipe.push_batch(&batch).expect("push batch");
-    }
-    (
-        sorted_multiset(reference.output.lineage_multiset()),
-        sorted_multiset(pipe.output.lineage_multiset()),
-    )
-}
-
-/// Materialize the case as a unified event stream: data cut at the case's
-/// *arbitrary* partition points, with migration barriers and expiry
-/// watermarks cutting the current batch short wherever they land (so they
-/// routinely fall "mid-batch" relative to the partition). `columnar` picks
-/// the data representation; control positions are identical either way,
-/// which is exactly what the columnar ≡ row equivalence needs.
-fn event_stream(case: &Case, columnar: bool, with_migrations: bool) -> Vec<Event<PlanSpec>> {
-    fn cut(
-        evs: &mut Vec<Event<PlanSpec>>,
-        rows: &mut TupleBatch,
-        cols: &mut ColumnarBatch,
-        columnar: bool,
-    ) {
-        if columnar {
-            if !cols.is_empty() {
-                let full = std::mem::replace(cols, ColumnarBatch::new(cols.capacity()));
-                evs.push(Event::Columnar(full));
+        Some(strategy) => {
+            let mut e =
+                AdaptiveEngine::new(case.catalog(), &case.plan(0), strategy).expect("engine");
+            let mut rot = 0usize;
+            for (i, &(s, k)) in case.arrivals.iter().enumerate() {
+                if case.migrations.contains(&i) {
+                    rot += 1;
+                    e.transition_to(&case.plan(rot)).expect("transition");
+                }
+                if case.expiries.contains(&i) {
+                    e.on_event(Event::Expiry(i as u64)).expect("expiry");
+                }
+                e.push(StreamId(s), k, i as u64).expect("push");
             }
-        } else if !rows.is_empty() {
-            let full = std::mem::replace(rows, TupleBatch::new(rows.capacity()));
-            evs.push(Event::Batch(full));
+            sorted_multiset(e.output().lineage_multiset())
+        }
+    }
+}
+
+/// Materialize the case as a unified event stream of columnar batches:
+/// data cut every `batch_size` arrivals, or at the case's *arbitrary*
+/// partition points when `batch_size` is `None`, with migration barriers
+/// and expiry watermarks cutting the current batch short wherever they
+/// land (so they routinely fall "mid-batch" relative to the partition).
+fn event_stream(
+    case: &Case,
+    batch_size: Option<usize>,
+    with_migrations: bool,
+) -> Vec<Event<PlanSpec>> {
+    fn cut(evs: &mut Vec<Event<PlanSpec>>, batch: &mut ColumnarBatch) {
+        if !batch.is_empty() {
+            let full = std::mem::replace(batch, ColumnarBatch::new(batch.capacity()));
+            evs.push(Event::Columnar(full));
         }
     }
     let n = case.arrivals.len().max(1);
     let mut evs = Vec::new();
-    let mut rows = TupleBatch::new(n);
-    let mut cols = ColumnarBatch::new(n);
+    let mut batch = ColumnarBatch::new(batch_size.unwrap_or(n));
     let mut rot = 0usize;
     for (i, &(s, k)) in case.arrivals.iter().enumerate() {
         if with_migrations && case.migrations.contains(&i) {
-            cut(&mut evs, &mut rows, &mut cols, columnar);
+            cut(&mut evs, &mut batch);
             rot += 1;
             evs.push(Event::MigrationBarrier(case.plan(rot)));
         }
         if case.expiries.contains(&i) {
-            cut(&mut evs, &mut rows, &mut cols, columnar);
+            cut(&mut evs, &mut batch);
             // Arrival `j` gets ts `j` (engine-assigned), so a watermark of
             // `i` here is monotonic and, under time windows, expires a
             // prefix of the rings mid-stream.
             evs.push(Event::Expiry(i as u64));
         }
-        if case.cuts.contains(&i) {
-            cut(&mut evs, &mut rows, &mut cols, columnar);
+        if batch_size.is_none() && case.cuts.contains(&i) {
+            cut(&mut evs, &mut batch);
         }
-        if columnar {
-            cols.push(StreamId(s), k, i as u64).expect("capacity n");
-        } else {
-            rows.push(BatchedTuple::new(StreamId(s), k, i as u64))
-                .expect("capacity n");
+        batch
+            .push(StreamId(s), k, i as u64)
+            .expect("batch cut on full");
+        if batch.is_full() {
+            cut(&mut evs, &mut batch);
         }
     }
-    cut(&mut evs, &mut rows, &mut cols, columnar);
+    cut(&mut evs, &mut batch);
     evs
+}
+
+/// Every partition the properties cover: the fixed batch sizes, then the
+/// case's arbitrary cut points.
+fn partitions() -> impl Iterator<Item = Option<usize>> {
+    BATCH_SIZES.into_iter().map(Some).chain([None])
 }
 
 /// Drive an event stream to completion: `None` runs the plain pipeline
@@ -256,12 +219,14 @@ proptest! {
 
     #[test]
     fn batched_equals_per_tuple_plain(case in case_strategy()) {
-        for bs in BATCH_SIZES {
-            let (expected, got) = plain_pair(&case, bs);
+        // Plain pipelined execution rejects barriers; both runs skip them.
+        let expected = per_tuple(&case, None);
+        for part in partitions() {
+            let got = run_events(&case, None, &event_stream(&case, part, false));
             prop_assert_eq!(
                 &got, &expected,
-                "plain pipeline diverged at batch size {} (ticks {:?})",
-                bs, case.ticks
+                "plain pipeline diverged at partition {:?} ({} expiries, ticks {:?})",
+                part, case.expiries.len(), case.ticks
             );
         }
     }
@@ -273,44 +238,15 @@ proptest! {
             Mig::MovingState,
             Mig::ParallelTrack { check_period: 10 },
         ] {
-            let expected = per_tuple(&case, strategy);
-            for bs in BATCH_SIZES {
-                let got = batched(&case, strategy, bs);
+            let expected = per_tuple(&case, Some(strategy));
+            for part in partitions() {
+                let got = run_events(&case, Some(strategy), &event_stream(&case, part, true));
                 prop_assert_eq!(
                     &got, &expected,
-                    "{:?} diverged at batch size {} ({} migrations, ticks {:?})",
-                    strategy, bs, case.migrations.len(), case.ticks
+                    "{:?} diverged at partition {:?} ({} migrations, {} expiries, ticks {:?})",
+                    strategy, part, case.migrations.len(), case.expiries.len(), case.ticks
                 );
             }
-        }
-    }
-
-    /// Columnar ingest is observationally equivalent to row-batch ingest
-    /// over *arbitrary* batch partitions, for all four strategies, with
-    /// migration barriers and expiry watermarks landing mid-partition.
-    #[test]
-    fn columnar_equals_row_batches_all_strategies(case in case_strategy()) {
-        // Plain pipelined execution rejects barriers; both runs skip them.
-        let row = run_events(&case, None, &event_stream(&case, false, false));
-        let col = run_events(&case, None, &event_stream(&case, true, false));
-        prop_assert_eq!(
-            &col, &row,
-            "plain pipeline diverged ({} cuts, {} expiries, ticks {:?})",
-            case.cuts.len(), case.expiries.len(), case.ticks
-        );
-        for strategy in [
-            Mig::Jisc,
-            Mig::MovingState,
-            Mig::ParallelTrack { check_period: 10 },
-        ] {
-            let row = run_events(&case, Some(strategy), &event_stream(&case, false, true));
-            let col = run_events(&case, Some(strategy), &event_stream(&case, true, true));
-            prop_assert_eq!(
-                &col, &row,
-                "{:?} diverged ({} cuts, {} migrations, {} expiries, ticks {:?})",
-                strategy, case.cuts.len(), case.migrations.len(),
-                case.expiries.len(), case.ticks
-            );
         }
     }
 
@@ -327,7 +263,7 @@ proptest! {
             Mig::MovingState,
             Mig::ParallelTrack { check_period: 10 },
         ] {
-            let evs = event_stream(&case, true, true);
+            let evs = event_stream(&case, None, true);
             let full = run_events(&case, Some(strategy), &evs);
 
             let mut e =
@@ -362,4 +298,74 @@ proptest! {
             );
         }
     }
+}
+
+/// A worst-case plan swap leaves the join states incomplete; every batch
+/// after it spans window expiries, so the columnar flush cannot take it in
+/// bulk and runs it through the per-arrival path. The output must equal
+/// per-tuple execution, and the migration debt must drain in both runs.
+#[test]
+fn fallback_mid_migration_matches_per_tuple_and_drains_debt() {
+    let names = ["A", "B", "C", "D"];
+    let catalog = || {
+        Catalog::new(names.iter().map(|n| StreamDef::timed(*n, 24)).collect())
+            .expect("valid catalog")
+    };
+    let initial = PlanSpec::left_deep(&names, JoinStyle::Hash);
+    let target = PlanSpec::left_deep(&["D", "C", "B", "A"], JoinStyle::Hash);
+    let arrivals: Vec<(u16, u64)> = (0..600u64)
+        .map(|i| ((i % 4) as u16, (i * 5 + i / 7) % 6))
+        .collect();
+    const BATCH: usize = 40;
+    const SWAP_AT: usize = 200;
+
+    let mut serial = JiscExec::new(catalog(), &initial).expect("engine");
+    for (i, &(s, k)) in arrivals.iter().enumerate() {
+        if i == SWAP_AT {
+            serial.transition_to(&target).expect("transition");
+        }
+        serial.push(StreamId(s), k, i as u64).expect("push");
+    }
+
+    let mut batched = JiscExec::new(catalog(), &initial).expect("engine");
+    let mut fallbacks = 0;
+    for (c, chunk) in arrivals.chunks(BATCH).enumerate() {
+        if c * BATCH == SWAP_AT {
+            batched.transition_to(&target).expect("transition");
+            assert!(
+                batched.incomplete_states() > 0,
+                "worst-case swap leaves debt"
+            );
+        }
+        let mut batch = ColumnarBatch::new(BATCH);
+        for (j, &(s, k)) in chunk.iter().enumerate() {
+            batch
+                .push(StreamId(s), k, (c * BATCH + j) as u64)
+                .expect("capacity");
+        }
+        let incomplete = batched.incomplete_states() > 0;
+        let hashed = batched.pipeline().kernels.hash.invocations;
+        batched.push_columnar(&batch).expect("push batch");
+        if incomplete {
+            assert_eq!(
+                batched.pipeline().kernels.hash.invocations,
+                hashed,
+                "a batch spanning expiries mid-migration runs per arrival"
+            );
+            fallbacks += 1;
+        }
+    }
+    assert!(fallbacks > 0, "the swap must force the per-arrival path");
+
+    assert_eq!(
+        sorted_multiset(batched.pipeline().output.lineage_multiset()),
+        sorted_multiset(serial.pipeline().output.lineage_multiset()),
+        "per-arrival fallback diverged from per-tuple execution"
+    );
+    assert!(
+        serial.pipeline().metrics.completions > 0,
+        "JISC completed keys"
+    );
+    assert_eq!(serial.incomplete_states(), 0, "per-tuple debt drains");
+    assert_eq!(batched.incomplete_states(), 0, "batched debt drains");
 }

@@ -10,7 +10,7 @@
 //! - Watermarks are monotone: a regressing `Expiry` is rejected, and a
 //!   repeated one is a no-op.
 
-use jisc_common::{BatchedTuple, Event, StreamId, TupleBatch};
+use jisc_common::{ColumnarBatch, Event, StreamId};
 use jisc_core::jisc::{apply_event, JiscSemantics};
 use jisc_core::{AdaptiveEngine, Strategy};
 use jisc_engine::{Catalog, JoinStyle, Pipeline, PlanSpec, StreamDef};
@@ -108,13 +108,11 @@ fn flush_drains_all_operator_queues_and_is_idempotent() {
     let mut pipe = Pipeline::new(timed_catalog(&names, 40), &spec(&names)).unwrap();
     let mut sem = JiscSemantics::default();
 
-    let mut batch = TupleBatch::new(16);
+    let mut batch = ColumnarBatch::new(16);
     for i in 0..48u64 {
-        batch
-            .push(BatchedTuple::new(StreamId((i % 3) as u16), i % 5, i))
-            .unwrap();
+        batch.push(StreamId((i % 3) as u16), i % 5, i).unwrap();
         if batch.is_full() {
-            apply_event(&mut pipe, &mut sem, Event::Batch(batch.clone())).unwrap();
+            apply_event(&mut pipe, &mut sem, Event::Columnar(batch.clone())).unwrap();
             batch.clear();
         }
     }
@@ -189,20 +187,19 @@ fn watermark_applies_across_strategies() {
     let arrivals: Vec<(u16, u64, u64)> =
         (0..80u64).map(|i| ((i % 2) as u16, i % 6, i * 2)).collect();
     let batch_of = |range: std::ops::Range<usize>| {
-        let mut b = TupleBatch::new(range.len());
+        let mut b = ColumnarBatch::new(range.len());
         for (i, &(s, k, ts)) in arrivals[range.clone()].iter().enumerate() {
-            let mut t = BatchedTuple::new(StreamId(s), k, (range.start + i) as u64);
-            t.ts = Some(ts);
-            b.push(t).unwrap();
+            b.push_stamped(StreamId(s), k, (range.start + i) as u64, Some(ts), None)
+                .unwrap();
         }
         b
     };
     let events = |wm: u64| {
         vec![
-            Event::Batch(batch_of(0..40)),
+            Event::Columnar(batch_of(0..40)),
             Event::Watermark(wm),
             Event::Watermark(wm / 4), // stale: must be a no-op everywhere
-            Event::Batch(batch_of(40..80)),
+            Event::Columnar(batch_of(40..80)),
             Event::Flush,
         ]
     };
@@ -259,12 +256,11 @@ fn events_apply_in_stream_order_across_strategies() {
 
         let mut engine = AdaptiveEngine::new(catalog(), &spec(&names), strategy).unwrap();
         let send = |from: usize, to: usize, e: &mut AdaptiveEngine| {
-            let mut b = TupleBatch::new(to - from);
+            let mut b = ColumnarBatch::new(to - from);
             for (i, &(s, k)) in arrivals[from..to].iter().enumerate() {
-                b.push(BatchedTuple::new(StreamId(s), k, (from + i) as u64))
-                    .unwrap();
+                b.push(StreamId(s), k, (from + i) as u64).unwrap();
             }
-            e.on_event(Event::Batch(b)).unwrap();
+            e.on_event(Event::Columnar(b)).unwrap();
         };
         send(0, 60, &mut engine);
         engine

@@ -1,11 +1,12 @@
-//! The columnar (vectorized) batch execution path.
+//! The columnar (vectorized) batch execution path — the engine's only
+//! batched ingest path.
 //!
-//! [`Pipeline::push_batch_with`] processes a row-major
-//! [`TupleBatch`](jisc_common::TupleBatch) through per-element deltas that
-//! carry an `Arc`'d tuple each — every probe pays a pointer chase and a
-//! refcount round-trip even when it matches nothing, which is what capped
-//! the row path's batching gains. [`Pipeline::push_columnar_with`] executes
-//! the same two-phase flush over structure-of-arrays deltas instead:
+//! [`Pipeline::push_columnar_with`] processes a [`ColumnarBatch`] through a
+//! two-phase flush over structure-of-arrays deltas: every batch tuple
+//! probes the operator states as they were before the batch (plus an
+//! explicit intra-batch pairing term), and only then are the deltas
+//! installed. The symmetric-join identity
+//! `(L+dl)(R+dr) − LR = dl·R + L·dr + dl·dr` accounts every join pair once.
 //!
 //! * the **key hashes of the whole batch** are produced by one column
 //!   kernel ([`jisc_common::kernels::hash_column`]) and ride along as a
@@ -21,15 +22,20 @@
 //!   its inserts (no expiring key collides with a segment insert, no
 //!   segment row expires mid-segment) and execute as one bulk
 //!   pops-then-inserts step. Only incomplete (mid-migration) state forces
-//!   the exact per-arrival row path;
+//!   the per-arrival path;
 //! * **nested-loop (KeyEq) probes and intra-batch pairing** evaluate the
 //!   join predicate over an entire delta column into a [`SelBitmap`]
 //!   (64 rows per word, branch-free) instead of scanning the state once
 //!   per delta element and materializing intermediates.
 //!
+//! Batches the flush cannot take in bulk — a single row, a non-batchable
+//! plan (set-difference, aggregation, non-`KeyEq` theta joins), a clock
+//! violation, or window expiry while a state is incomplete — run row by
+//! row through [`Pipeline::push_at_with`], the per-tuple oracle itself.
+//!
 //! The output is equivalent to pushing the batch's rows one at a time in
-//! order, by lineage multiset — property-tested against the per-tuple and
-//! row-batch paths for all four migration strategies.
+//! order, by lineage multiset — property-tested against the per-tuple path
+//! for all four migration strategies.
 //!
 //! Per-kernel wall-clock/element counters accumulate in
 //! [`Pipeline::kernels`] ([`KernelStats`]) and surface as a footer line in
@@ -49,7 +55,7 @@ use crate::ops::DefaultSemantics;
 use crate::pipeline::{
     Pipeline, Semantics, DELTA_SCRATCH_CAP, INTRA_PAIR_KEYED_MIN, PREFETCH_DIST, PREFETCH_MIN_STATE,
 };
-use crate::plan::{OpKind, Payload, QueueItem};
+use crate::plan::OpKind;
 use crate::predicate::Predicate;
 use crate::spec::WindowSpec;
 
@@ -129,8 +135,8 @@ impl KernelStats {
 
 /// One node's batch delta in structure-of-arrays layout: parallel dense
 /// columns, one entry per delta tuple. The probe loops read `keys`/`hashes`
-/// only; `tuples` is touched when a probe matches (the `Arc` clone the row
-/// path paid per element now happens per *result*).
+/// only; `tuples` is touched when a probe matches (an `Arc` clone per
+/// *result*, not per probed element).
 #[derive(Debug, Default)]
 pub(crate) struct ColDelta {
     keys: Vec<Key>,
@@ -231,17 +237,20 @@ enum BatchPlan {
     /// Expiry interleaves; execute as maximal bulk-safe segments, cutting
     /// where an expiring key collides with a segment insert.
     Segmented,
-    /// Clock violation, unknown stream, or mid-migration incomplete state:
-    /// run the exact per-arrival row path.
+    /// Clock violation, unknown stream, or expiry while a state is
+    /// incomplete (mid-migration): run the per-arrival path.
     Fallback,
 }
 
 impl Pipeline {
     /// Process a whole [`ColumnarBatch`] to quiescence under the given
     /// semantics, equivalent (by output lineage multiset) to pushing its
-    /// rows one at a time in order — the columnar counterpart of
-    /// [`Pipeline::push_batch_with`], executed through the vectorized
-    /// kernel path described in [`crate::columnar`].
+    /// rows one at a time in order, executed through the vectorized kernel
+    /// path described in [`crate::columnar`].
+    ///
+    /// A `None` timestamp on a row means "default clock" (same rule as
+    /// [`Pipeline::ingest`]); a `Some(seq)` pins the arrival's sequence
+    /// number via [`Pipeline::set_next_seq`] (sharded routing).
     pub fn push_columnar_with(
         &mut self,
         sem: &mut impl Semantics,
@@ -251,18 +260,7 @@ impl Pipeline {
             return Ok(());
         }
         if batch.len() < 2 || !self.plan.batchable() {
-            for i in 0..batch.len() {
-                let t = batch.row(i);
-                if let Some(seq) = t.seq {
-                    self.set_next_seq(seq);
-                }
-                let ts = match t.ts {
-                    Some(ts) => ts,
-                    None => self.last_ts.max(self.next_seq),
-                };
-                self.push_at_with(sem, t.stream, t.key, t.payload, ts)?;
-            }
-            return Ok(());
+            return self.push_rows_with(sem, batch);
         }
         if self.pending_items > 0 {
             return Err(JiscError::InvalidConfig(
@@ -273,49 +271,48 @@ impl Pipeline {
         }
 
         let mut col = std::mem::take(&mut self.col);
+        let plan = self.plan_batch(batch, &mut col);
+        if matches!(plan, BatchPlan::Fallback) {
+            self.col = col;
+            return self.push_rows_with(sem, batch);
+        }
         let t0 = Instant::now();
         hash_column(batch.keys(), &mut col.hashes);
         self.kernels.hash.record(batch.len() as u64, t0.elapsed());
-
-        let plan = self.plan_batch(batch, &mut col);
-        let result = match plan {
-            BatchPlan::Bulk => {
-                col.pops.clear();
-                col.pops.resize(self.catalog.len(), 0);
-                col.deferred_pops.clear();
-                self.commit_segment(sem, batch, &mut col, 0, batch.len());
+        if matches!(plan, BatchPlan::Bulk) {
+            col.pops.clear();
+            col.pops.resize(self.catalog.len(), 0);
+            col.deferred_pops.clear();
+            self.commit_segment(sem, batch, &mut col, 0, batch.len());
+            self.flush_columnar(sem, &mut col);
+        } else {
+            let mut start = 0;
+            while start < batch.len() {
+                let end = self.plan_segment(batch, start, &mut col);
+                self.commit_segment(sem, batch, &mut col, start, end);
                 self.flush_columnar(sem, &mut col);
-                Ok(())
+                start = end;
             }
-            BatchPlan::Segmented => {
-                let mut start = 0;
-                while start < batch.len() {
-                    let end = self.plan_segment(batch, start, &mut col);
-                    self.commit_segment(sem, batch, &mut col, start, end);
-                    self.flush_columnar(sem, &mut col);
-                    start = end;
-                }
-                self.drain_deferred(sem, &mut col);
-                Ok(())
-            }
-            BatchPlan::Fallback => {
-                // Row-by-row deferred ingest: exact per-arrival window and
-                // clock semantics, including the serial-prefix state on
-                // error. Hot batches never land here; conflicting or
-                // malformed ones do.
-                let mut out = Ok(());
-                for i in 0..batch.len() {
-                    if let Err(e) = self.ingest_deferred(sem, &batch.row(i)) {
-                        out = Err(e);
-                        break;
-                    }
-                }
-                self.flush_run(sem);
-                out
-            }
-        };
+            self.drain_deferred(sem, &mut col);
+        }
         self.col = col;
-        result
+        Ok(())
+    }
+
+    /// The per-arrival path for batches the columnar flush cannot take in
+    /// bulk: every row is pushed through [`Pipeline::push_at_with`], the
+    /// per-tuple oracle itself, so window, clock and completion semantics
+    /// are exact — including the serial-prefix state on error.
+    fn push_rows_with(&mut self, sem: &mut impl Semantics, batch: &ColumnarBatch) -> Result<()> {
+        for i in 0..batch.len() {
+            let t = batch.row(i);
+            if let Some(seq) = t.seq {
+                self.set_next_seq(seq);
+            }
+            let ts = t.ts.unwrap_or_else(|| self.last_ts.max(self.next_seq));
+            self.push_at_with(sem, t.stream, t.key, t.payload, ts)?;
+        }
+        Ok(())
     }
 
     /// [`Pipeline::push_columnar_with`] under the default semantics.
@@ -325,7 +322,7 @@ impl Pipeline {
 
     /// Read-only planning pass: resolve every row's effective timestamp
     /// and classify the batch — bulk (no expiry interleaves), segmented
-    /// (expiry interleaves but state is complete), or row-path fallback.
+    /// (expiry interleaves but state is complete), or per-arrival fallback.
     /// Mutates only `col` scratch.
     fn plan_batch(&self, batch: &ColumnarBatch, col: &mut ColScratch) -> BatchPlan {
         let n = batch.len();
@@ -333,7 +330,7 @@ impl Pipeline {
         // Clock resolution: simulate the sequence/timestamp assignment the
         // serial path would perform. Any monotonicity violation or a
         // pinned sequence that would rewind the transition clock falls
-        // back — the row path reproduces the exact serial-prefix
+        // back — the per-arrival path reproduces the exact serial-prefix
         // semantics (including the error).
         col.eff_ts.clear();
         col.eff_ts.reserve(n);
@@ -392,9 +389,9 @@ impl Pipeline {
         if !expiry {
             return BatchPlan::Bulk;
         }
-        if self.any_state_incomplete() {
+        if !self.all_states_complete() {
             // Completion bookkeeping does not commute with bulk removals;
-            // mid-migration batches that expire take the exact row path.
+            // mid-migration batches that expire take the per-arrival path.
             return BatchPlan::Fallback;
         }
         BatchPlan::Segmented
@@ -613,20 +610,7 @@ impl Pipeline {
             self.retract_columnar(col);
         } else {
             for old in expired.drain(..) {
-                let old_scan = self.plan.scan_of(old.stream).expect("validated stream");
-                let old_fresh = self.fresh[old.stream.0 as usize]
-                    .get(&old.key)
-                    .is_none_or(|&s| s < self.last_transition_seq);
-                self.pending_items += 1;
-                self.plan.node_mut(old_scan).queue.push_back(QueueItem {
-                    from: None,
-                    payload: Payload::Remove {
-                        stream: old.stream,
-                        seq: old.seq,
-                        key: old.key,
-                        fresh: old_fresh,
-                    },
-                });
+                self.enqueue_removal(&old).expect("validated stream");
             }
             self.run_with(sem);
         }
@@ -668,8 +652,12 @@ impl Pipeline {
     /// The columnar two-phase flush: phase I computes every join node's
     /// delta against the pre-batch states bottom-up (dense-column probes,
     /// bitmap-driven pairing), phase II installs all deltas and emits at
-    /// the root. Same phase discipline as the row path's `flush_run`, so
-    /// JISC completion stays sound mid-batch.
+    /// the root. The strict phase separation is what keeps JISC completion
+    /// sound mid-batch — completion triggered by
+    /// [`Semantics::before_probe`] reads only pre-batch child states, so it
+    /// materializes exactly the old-only combinations, while every delta
+    /// entry contains at least one batch constituent; the two sets are
+    /// lineage-disjoint and nothing is double-counted.
     fn flush_columnar(&mut self, sem: &mut impl Semantics, col: &mut ColScratch) {
         let ColScratch { deltas, bitmap, .. } = col;
 
@@ -754,9 +742,9 @@ impl Pipeline {
     /// touched until a match); list/theta states are probed stored-major —
     /// one [`eq_bitmap`] evaluation of the whole delta key column per
     /// stored entry, replacing a full state scan per delta element.
-    /// Incomplete states (mid-migration) take the row path's element-major
-    /// loop with a [`Semantics::before_probe`] call per element, so
-    /// on-demand completion observes exactly the per-tuple order.
+    /// Incomplete states (mid-migration) take an element-major loop with a
+    /// [`Semantics::before_probe`] call per element, so on-demand
+    /// completion observes exactly the per-tuple order.
     #[allow(clippy::too_many_arguments)]
     fn probe_direction(
         &mut self,
@@ -774,7 +762,7 @@ impl Pipeline {
         // Batch-aware just-in-time fault-back (tiered states): fault every
         // cold chain this direction's delta column will probe with one
         // sequential read per touched segment, so both the vectorized and
-        // the row-exact probe loops below run against a hot-only store.
+        // the element-major probe loops below run against a hot-only store.
         if self.plan.node(state_node).state.cold_entries() > 0 {
             if nlj {
                 self.plan
@@ -797,7 +785,7 @@ impl Pipeline {
         };
         if !self.plan.node(state_node).state.is_complete() {
             // Slow path: completion may mutate the probed state between
-            // elements; mirror the row path exactly.
+            // elements; probe one element at a time.
             let mut buf = self.take_probe_scratch();
             for di in 0..src.len() {
                 let (key, h) = (src.keys[di], src.hashes[di]);
@@ -872,8 +860,8 @@ impl Pipeline {
     /// emitting each pair with the fresh flag of its later-arriving side.
     /// Small products run the bitmap kernel (one whole-column predicate
     /// evaluation per left entry, 64 comparisons per word); large products
-    /// build a one-shot keyed index over the right delta, same as the row
-    /// path.
+    /// build a one-shot keyed index over the right delta (the nested loop
+    /// is quadratic in batch size).
     fn pair_deltas(la: &ColDelta, ra: &ColDelta, out: &mut ColDelta, bm: &mut SelBitmap) {
         if la.is_empty() || ra.is_empty() {
             return;
@@ -917,7 +905,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::spec::{Catalog, JoinStyle, PlanSpec, StreamDef};
-    use jisc_common::{SplitMix64, StreamId, TupleBatch};
+    use jisc_common::{SplitMix64, StreamId};
 
     fn pipes(catalog: Catalog, spec: &PlanSpec) -> (Pipeline, Pipeline) {
         (
@@ -926,39 +914,35 @@ mod tests {
         )
     }
 
-    /// Drive one pipeline with row batches and the other with the same
-    /// arrivals as columnar batches; outputs must agree as lineage
-    /// multisets.
+    /// Drive one pipeline one arrival at a time (the per-tuple oracle) and
+    /// the other with the same arrivals as columnar batches; outputs must
+    /// agree as lineage multisets.
     fn assert_equivalent(
         catalog: Catalog,
         spec: &PlanSpec,
         arrivals: &[(StreamId, Key, Option<u64>)],
         batch: usize,
     ) {
-        let (mut row, mut colp) = pipes(catalog, spec);
+        let (mut serial, mut colp) = pipes(catalog, spec);
+        for &(s, k, ts) in arrivals {
+            match ts {
+                Some(ts) => serial.push_at(s, k, 0, ts).unwrap(),
+                None => serial.push(s, k, 0).unwrap(),
+            }
+        }
         for chunk in arrivals.chunks(batch) {
-            let mut rb = TupleBatch::new(chunk.len());
             let mut cb = ColumnarBatch::new(chunk.len());
             for &(s, k, ts) in chunk {
-                rb.push(jisc_common::BatchedTuple {
-                    stream: s,
-                    key: k,
-                    payload: 0,
-                    ts,
-                    seq: None,
-                })
-                .unwrap();
                 cb.push_stamped(s, k, 0, ts, None).unwrap();
             }
-            row.push_batch(&rb).unwrap();
             colp.push_columnar(&cb).unwrap();
         }
         assert_eq!(
-            row.output.lineage_multiset(),
+            serial.output.lineage_multiset(),
             colp.output.lineage_multiset(),
-            "columnar output diverged from row-batch output"
+            "columnar output diverged from per-tuple output"
         );
-        assert_eq!(row.output.count(), colp.output.count());
+        assert_eq!(serial.output.count(), colp.output.count());
     }
 
     fn random_arrivals(
@@ -980,9 +964,9 @@ mod tests {
     }
 
     #[test]
-    fn columnar_matches_row_batches_hash_join_with_expiry() {
+    fn columnar_matches_per_tuple_hash_join_with_expiry() {
         // Window of 16 on a 3-way join: every batch of 64 expires plenty,
-        // exercising both the bulk-expiry plan and the fallback.
+        // exercising the bulk-expiry and segmented plans.
         let catalog = Catalog::uniform(&["R", "S", "T"], 16).unwrap();
         let spec = PlanSpec::left_deep(&["R", "S", "T"], JoinStyle::Hash);
         let arrivals = random_arrivals(3, 600, 8, 42);
@@ -992,7 +976,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_matches_row_batches_nlj_keyeq() {
+    fn columnar_matches_per_tuple_nlj_keyeq() {
         let catalog = Catalog::uniform(&["R", "S", "T"], 32).unwrap();
         let spec = PlanSpec::left_deep(&["R", "S", "T"], JoinStyle::Nlj(Predicate::KeyEq));
         let arrivals = random_arrivals(3, 400, 6, 7);
@@ -1002,7 +986,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_matches_row_batches_time_windows() {
+    fn columnar_matches_per_tuple_time_windows() {
         let defs = vec![StreamDef::timed("R", 50), StreamDef::timed("S", 80)];
         let catalog = Catalog::new(defs).unwrap();
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
@@ -1019,8 +1003,8 @@ mod tests {
             })
             .collect();
         // Batch of 64 spans ~192 ticks on average — wider than both
-        // windows, so most batches take the row fallback; batch 8 mostly
-        // stays bulk. Both must agree with pure row execution.
+        // windows, so most batches are cut into segments; batch 8 mostly
+        // stays bulk. Both must agree with per-tuple execution.
         for batch in [8, 64] {
             assert_equivalent(catalog.clone(), &spec, &arrivals, batch);
         }

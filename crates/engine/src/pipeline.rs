@@ -11,8 +11,8 @@
 use std::sync::Arc;
 
 use jisc_common::{
-    hash_key, BaseTuple, BatchedTuple, FxHashMap, FxHashSet, JiscError, Key, Lineage, Metrics,
-    Result, SeqNo, StreamId, Tuple, TupleBatch,
+    hash_key, BaseTuple, FxHashMap, FxHashSet, JiscError, Key, Lineage, Metrics, Result, SeqNo,
+    StreamId, Tuple,
 };
 
 use crate::ops::DefaultSemantics;
@@ -116,19 +116,6 @@ pub struct Pipeline {
     /// Reused buffer for join-probe results (see
     /// [`Pipeline::take_probe_scratch`]).
     probe_scratch: Vec<Tuple>,
-    /// Deferred inserts of the batch currently being ingested:
-    /// `(scan node, base tuple, fresh flag, key hash)` in arrival order.
-    /// The hash is computed once at ingest and rides along so the batch
-    /// kernel never rehashes a key.
-    batch_run: Vec<(NodeId, Arc<BaseTuple>, bool, u64)>,
-    /// Keys present in the deferred run (expiry-commutation check).
-    batch_run_keys: FxHashSet<Key>,
-    /// Per-node delta buffers reused across batch flushes (indexed by
-    /// `NodeId`). Each entry carries the probe-key hash of its tuple —
-    /// under the shared-attribute model a joined tuple is probed with the
-    /// same key (hence hash) as the delta tuple that produced it.
-    /// Capacities are capped after each flush (see `DELTA_SCRATCH_CAP`).
-    batch_deltas: Vec<Vec<(Tuple, bool, u64)>>,
     /// Reusable scratch of the columnar execution path (hash columns,
     /// per-node SoA deltas; see [`crate::columnar`]).
     pub(crate) col: crate::columnar::ColScratch,
@@ -165,9 +152,6 @@ impl Pipeline {
             pending_items: 0,
             expired_scratch: Vec::new(),
             probe_scratch: Vec::new(),
-            batch_run: Vec::new(),
-            batch_run_keys: FxHashSet::default(),
-            batch_deltas: Vec::new(),
             col: Default::default(),
             kernels: Default::default(),
             output: OutputSink::new(),
@@ -247,6 +231,18 @@ impl Pipeline {
     /// window duration at this timestamp is removed — possibly several per
     /// arrival, possibly none.
     pub fn ingest_at(&mut self, stream: StreamId, key: Key, payload: u64, ts: u64) -> Result<()> {
+        if let Some((scan, seq, ts)) = self.begin_arrival(stream, ts)? {
+            self.enqueue_arrival(scan, stream, seq, key, payload, ts);
+        }
+        Ok(())
+    }
+
+    /// First half of an arrival: admit its timestamp, assign its sequence
+    /// number, and slide the windows (enqueuing the expiry removals).
+    /// Returns the scan node, sequence number and effective timestamp to
+    /// hand to [`Pipeline::enqueue_arrival`], or `None` when the lateness
+    /// policy dropped the tuple.
+    fn begin_arrival(&mut self, stream: StreamId, ts: u64) -> Result<Option<(NodeId, SeqNo, u64)>> {
         if self.pending_items > 0 {
             return Err(JiscError::InvalidConfig(
                 "previous arrival not yet processed: run the pipeline before \
@@ -256,7 +252,7 @@ impl Pipeline {
         }
         let ts = match self.admit_ts(ts)? {
             Some(ts) => ts,
-            None => return Ok(()), // late tuple dropped, accounted in metrics
+            None => return Ok(None), // late tuple dropped, accounted in metrics
         };
         self.last_ts = ts;
         let scan = self
@@ -266,30 +262,58 @@ impl Pipeline {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.metrics.tuples_in += 1;
-
         // Slide windows before recording the new arrival, so the expiring
         // tuples' freshness reflects arrivals strictly before this one.
-        // Count windows slide only on their own stream's arrivals; time
-        // windows are driven by the clock, so *every* time-windowed stream
-        // is aged on every arrival.
+        self.slide_windows(ts, Some(stream))?;
+        Ok(Some((scan, seq, ts)))
+    }
+
+    /// Second half of an arrival: record its freshness, append it to its
+    /// window ring, and enqueue its insert at the stream's scan node.
+    fn enqueue_arrival(
+        &mut self,
+        scan: NodeId,
+        stream: StreamId,
+        seq: SeqNo,
+        key: Key,
+        payload: u64,
+        ts: u64,
+    ) {
+        let prev = self.fresh[stream.0 as usize].insert(key, seq);
+        let fresh = prev.is_none_or(|s| s < self.last_transition_seq);
+        let base = Arc::new(BaseTuple::new(stream, seq, key, payload));
+        self.rings[stream.0 as usize].push_back((ts, Arc::clone(&base)));
+        self.enqueue(
+            scan,
+            QueueItem {
+                from: None,
+                payload: Payload::Insert {
+                    tuple: Tuple::Base(base),
+                    fresh,
+                },
+            },
+        );
+    }
+
+    /// Slide the windows to `ts` and enqueue a `Remove` at its scan node
+    /// for every tuple that leaves. Count windows slide only on their own
+    /// stream's arrivals (`arriving`; `None` for a watermark); time windows
+    /// are driven by the clock, so *every* time-windowed stream is aged.
+    fn slide_windows(&mut self, ts: u64, arriving: Option<StreamId>) -> Result<()> {
         let mut expired = std::mem::take(&mut self.expired_scratch);
         expired.clear();
         if self.has_time_windows {
             for i in 0..self.catalog.len() {
                 let s = StreamId(i as u16);
+                let ring = &mut self.rings[i];
                 match self.catalog.window_spec(s) {
                     WindowSpec::Count(w) => {
-                        if s != stream {
-                            continue;
-                        }
-                        let ring = &mut self.rings[i];
-                        if ring.len() == w {
+                        if arriving == Some(s) && ring.len() == w {
                             expired.push(ring.pop_front().expect("non-empty ring").1);
                         }
                     }
                     WindowSpec::Time(d) => {
                         // A tuple is inside the window while `ts - arrival < d`.
-                        let ring = &mut self.rings[i];
                         while ring
                             .front()
                             .is_some_and(|(at, _)| ts.saturating_sub(*at) >= d)
@@ -299,46 +323,41 @@ impl Pipeline {
                     }
                 }
             }
-        } else if let WindowSpec::Count(w) = self.catalog.window_spec(stream) {
+        } else if let Some(s) = arriving {
             // Fast path: count windows slide only the arriving stream.
-            let ring = &mut self.rings[stream.0 as usize];
-            if ring.len() == w {
-                expired.push(ring.pop_front().expect("non-empty ring").1);
+            if let WindowSpec::Count(w) = self.catalog.window_spec(s) {
+                let ring = &mut self.rings[s.0 as usize];
+                if ring.len() == w {
+                    expired.push(ring.pop_front().expect("non-empty ring").1);
+                }
             }
         }
-        for old in expired.drain(..) {
-            let old_scan = self
-                .plan
-                .scan_of(old.stream)
-                .ok_or_else(|| JiscError::UnknownStream(format!("{}", old.stream)))?;
-            let old_fresh = self.fresh[old.stream.0 as usize]
-                .get(&old.key)
-                .is_none_or(|&s| s < self.last_transition_seq);
-            self.pending_items += 1;
-            self.plan.node_mut(old_scan).queue.push_back(QueueItem {
+        let enqueued = expired.iter().try_for_each(|old| self.enqueue_removal(old));
+        expired.clear();
+        self.expired_scratch = expired;
+        enqueued
+    }
+
+    /// Enqueue the window-expiry `Remove` of `old` at its stream's scan
+    /// node, classified fresh or attempted against the arrivals so far.
+    pub(crate) fn enqueue_removal(&mut self, old: &BaseTuple) -> Result<()> {
+        let scan = self
+            .plan
+            .scan_of(old.stream)
+            .ok_or_else(|| JiscError::UnknownStream(format!("{}", old.stream)))?;
+        let fresh = self.is_fresh(old.stream, old.key);
+        self.enqueue(
+            scan,
+            QueueItem {
                 from: None,
                 payload: Payload::Remove {
                     stream: old.stream,
                     seq: old.seq,
                     key: old.key,
-                    fresh: old_fresh,
+                    fresh,
                 },
-            });
-        }
-        self.expired_scratch = expired;
-
-        let prev = self.fresh[stream.0 as usize].insert(key, seq);
-        let fresh = prev.is_none_or(|s| s < self.last_transition_seq);
-        let base = Arc::new(BaseTuple::new(stream, seq, key, payload));
-        self.rings[stream.0 as usize].push_back((ts, Arc::clone(&base)));
-        self.pending_items += 1;
-        self.plan.node_mut(scan).queue.push_back(QueueItem {
-            from: None,
-            payload: Payload::Insert {
-                tuple: Tuple::Base(base),
-                fresh,
             },
-        });
+        );
         Ok(())
     }
 
@@ -387,9 +406,8 @@ impl Pipeline {
         key: Key,
         payload: u64,
     ) -> Result<()> {
-        self.ingest(stream, key, payload)?;
-        self.run_with(sem);
-        Ok(())
+        let ts = self.last_ts.max(self.next_seq);
+        self.push_at_with(sem, stream, key, payload, ts)
     }
 
     /// Ingest then immediately run with default semantics.
@@ -406,7 +424,14 @@ impl Pipeline {
         payload: u64,
         ts: u64,
     ) -> Result<()> {
-        self.ingest_at(stream, key, payload, ts)?;
+        let Some((scan, seq, ts)) = self.begin_arrival(stream, ts)? else {
+            return Ok(());
+        };
+        // The slide's removals run to quiescence before the insert is
+        // enqueued, so JISC's expiry bookkeeping sees the children without
+        // the new arrival and can prune completions that expiry made moot.
+        self.run_with(sem);
+        self.enqueue_arrival(scan, stream, seq, key, payload, ts);
         self.run_with(sem);
         Ok(())
     }
@@ -416,393 +441,11 @@ impl Pipeline {
         self.push_at_with(&mut DefaultSemantics, stream, key, payload, ts)
     }
 
-    // ----- batched ingestion -----
-
-    /// Process a whole [`TupleBatch`] to quiescence under the given
-    /// semantics, equivalent (by output lineage multiset) to pushing its
-    /// tuples one at a time in order.
-    ///
-    /// On [batchable](Plan::batchable) plans — scans and equi-joins — the
-    /// batch executes in two phases per flush: every batch tuple probes
-    /// the operator states *as they were before the batch* (plus an
-    /// explicit intra-batch pairing term), and only then are the batch's
-    /// delta tuples installed into the states. This amortizes queue and
-    /// dispatch overhead across the batch while producing exactly the
-    /// per-tuple result: the symmetric-join identity
-    /// `(L+dl)(R+dr) − LR = dl·R + L·dr + dl·dr` accounts every join pair
-    /// once. Window expiries landing mid-batch commute with pending
-    /// deferred inserts only when every expiring key is absent from the
-    /// run **and** no state is incomplete (mid-migration); otherwise the
-    /// run is flushed first, degrading toward per-tuple execution but
-    /// never changing the answer. Non-batchable plans (set-difference,
-    /// aggregation, non-`KeyEq` theta joins) and batches of one take the
-    /// per-tuple path directly.
-    ///
-    /// A `None` timestamp on a batch tuple means "default clock" (same
-    /// rule as [`Pipeline::ingest`]); a `Some(seq)` pins the arrival's
-    /// sequence number via [`Pipeline::set_next_seq`] (sharded routing).
-    pub fn push_batch_with(&mut self, sem: &mut impl Semantics, batch: &TupleBatch) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        if batch.len() < 2 || !self.plan.batchable() {
-            for t in batch.items() {
-                if let Some(seq) = t.seq {
-                    self.set_next_seq(seq);
-                }
-                let ts = match t.ts {
-                    Some(ts) => ts,
-                    None => self.last_ts.max(self.next_seq),
-                };
-                self.push_at_with(sem, t.stream, t.key, t.payload, ts)?;
-            }
-            return Ok(());
-        }
-        if self.pending_items > 0 {
-            return Err(JiscError::InvalidConfig(
-                "previous arrival not yet processed: run the pipeline before \
-                 ingesting the next batch"
-                    .into(),
-            ));
-        }
-        debug_assert!(self.batch_run.is_empty());
-        for t in batch.items() {
-            if let Err(e) = self.ingest_deferred(sem, t) {
-                // Leave the pipeline in the state a serial prefix of the
-                // batch would have produced.
-                self.flush_run(sem);
-                return Err(e);
-            }
-        }
-        self.flush_run(sem);
-        Ok(())
-    }
-
-    /// [`Pipeline::push_batch_with`] under the default semantics.
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        self.push_batch_with(&mut DefaultSemantics, batch)
-    }
-
-    /// Ingest one batch tuple without enqueuing its insert: sequence
-    /// numbering, window slide (with the expiry-commutation rule), and
-    /// freshness classification happen now; the insert itself is deferred
-    /// into `batch_run` until [`Pipeline::flush_run`].
-    pub(crate) fn ingest_deferred(
-        &mut self,
-        sem: &mut impl Semantics,
-        t: &BatchedTuple,
-    ) -> Result<()> {
-        if let Some(seq) = t.seq {
-            self.set_next_seq(seq);
-        }
-        let ts = match t.ts {
-            Some(ts) => ts,
-            None => self.last_ts.max(self.next_seq),
-        };
-        let ts = match self.admit_ts(ts)? {
-            Some(ts) => ts,
-            None => return Ok(()), // late tuple dropped, accounted in metrics
-        };
-        self.last_ts = ts;
-        let scan = self
-            .plan
-            .scan_of(t.stream)
-            .ok_or_else(|| JiscError::UnknownStream(format!("{}", t.stream)))?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.metrics.tuples_in += 1;
-
-        // Window slide, identical to [`Pipeline::ingest_at`].
-        let mut expired = std::mem::take(&mut self.expired_scratch);
-        expired.clear();
-        if self.has_time_windows {
-            for i in 0..self.catalog.len() {
-                let s = StreamId(i as u16);
-                match self.catalog.window_spec(s) {
-                    WindowSpec::Count(w) => {
-                        if s != t.stream {
-                            continue;
-                        }
-                        let ring = &mut self.rings[i];
-                        if ring.len() == w {
-                            expired.push(ring.pop_front().expect("non-empty ring").1);
-                        }
-                    }
-                    WindowSpec::Time(d) => {
-                        let ring = &mut self.rings[i];
-                        while ring
-                            .front()
-                            .is_some_and(|(at, _)| ts.saturating_sub(*at) >= d)
-                        {
-                            expired.push(ring.pop_front().expect("non-empty ring").1);
-                        }
-                    }
-                }
-            }
-        } else if let WindowSpec::Count(w) = self.catalog.window_spec(t.stream) {
-            let ring = &mut self.rings[t.stream.0 as usize];
-            if ring.len() == w {
-                expired.push(ring.pop_front().expect("non-empty ring").1);
-            }
-        }
-        if !expired.is_empty() {
-            // Removals of key k commute with pending deferred inserts of
-            // keys ≠ k only on equi-joins over *complete* states: the
-            // removed entry cannot match any pending insert, and no
-            // completion bookkeeping can change a Remove's forwarding
-            // decision. Any expiring key in the run, or any incomplete
-            // state anywhere, forces a flush first.
-            let commute = expired
-                .iter()
-                .all(|old| !self.batch_run_keys.contains(&old.key))
-                && !self.any_state_incomplete();
-            if !commute {
-                self.flush_run(sem);
-            }
-            for old in expired.drain(..) {
-                let old_scan = self
-                    .plan
-                    .scan_of(old.stream)
-                    .ok_or_else(|| JiscError::UnknownStream(format!("{}", old.stream)))?;
-                let old_fresh = self.fresh[old.stream.0 as usize]
-                    .get(&old.key)
-                    .is_none_or(|&s| s < self.last_transition_seq);
-                self.pending_items += 1;
-                self.plan.node_mut(old_scan).queue.push_back(QueueItem {
-                    from: None,
-                    payload: Payload::Remove {
-                        stream: old.stream,
-                        seq: old.seq,
-                        key: old.key,
-                        fresh: old_fresh,
-                    },
-                });
-            }
-            self.expired_scratch = expired;
-            self.run_with(sem);
-        } else {
-            self.expired_scratch = expired;
-        }
-
-        let prev = self.fresh[t.stream.0 as usize].insert(t.key, seq);
-        let fresh = prev.is_none_or(|s| s < self.last_transition_seq);
-        let base = Arc::new(BaseTuple::new(t.stream, seq, t.key, t.payload));
-        self.rings[t.stream.0 as usize].push_back((ts, Arc::clone(&base)));
-        self.batch_run.push((scan, base, fresh, hash_key(t.key)));
-        self.batch_run_keys.insert(t.key);
-        Ok(())
-    }
-
-    /// Is any state in the plan marked incomplete (mid-migration)?
-    pub(crate) fn any_state_incomplete(&self) -> bool {
-        !self.all_states_complete()
-    }
-
     /// Is every operator state complete (no in-flight migration debt)?
     pub fn all_states_complete(&self) -> bool {
         self.plan
             .ids()
             .all(|i| self.plan.node(i).state.is_complete())
-    }
-
-    /// Execute the deferred run: compute every node's delta against the
-    /// pre-run states (phase I), then install all deltas and emit at the
-    /// root (phase II). The strict phase separation is what keeps JISC
-    /// completion sound mid-batch — completion triggered by
-    /// [`Semantics::before_probe`] reads only pre-run child states, so it
-    /// materializes exactly the old-only combinations, while every delta
-    /// entry contains at least one batch constituent; the two sets are
-    /// lineage-disjoint and nothing is double-counted.
-    pub(crate) fn flush_run(&mut self, sem: &mut impl Semantics) {
-        if self.batch_run.is_empty() {
-            return;
-        }
-        self.batch_run_keys.clear();
-        if self.batch_run.len() == 1 {
-            let (scan, base, fresh, _) = self.batch_run.pop().expect("non-empty run");
-            self.enqueue(
-                scan,
-                QueueItem {
-                    from: None,
-                    payload: Payload::Insert {
-                        tuple: Tuple::Base(base),
-                        fresh,
-                    },
-                },
-            );
-            self.run_with(sem);
-            return;
-        }
-        let mut deltas = std::mem::take(&mut self.batch_deltas);
-        for d in &mut deltas {
-            d.clear();
-        }
-        deltas.resize_with(self.plan.len(), Vec::new);
-        for (scan, base, fresh, h) in self.batch_run.drain(..) {
-            deltas[scan.0 as usize].push((Tuple::Base(base), fresh, h));
-        }
-
-        // Phase I: compute join deltas bottom-up against pre-run states.
-        // The arena allocates children before parents, so a node's delta
-        // slot always sits above both children's in the buffer.
-        //
-        // Equi-join probes run through the batch kernel: every delta tuple
-        // carries its pre-computed key hash, and the index lines the probe
-        // `PREFETCH_DIST` items ahead will touch are prefetched while the
-        // current probe's matches are materialized, hiding the cache-miss
-        // latency of out-of-cache state tables behind useful work.
-        let mut buf = self.take_probe_scratch();
-        for i in 0..self.plan.topo().len() {
-            let id = self.plan.topo()[i];
-            let node = self.plan.node(id);
-            let pred = match node.op {
-                OpKind::HashJoin => None,
-                OpKind::NljJoin(p) => Some(p),
-                _ => continue,
-            };
-            let (l, r) = (
-                node.left.expect("binary node has left child"),
-                node.right.expect("binary node has right child"),
-            );
-            let (li, ri) = (l.0 as usize, r.0 as usize);
-            let idx = id.0 as usize;
-            debug_assert!(li < idx && ri < idx, "children precede parent in arena");
-            let (lower, upper) = deltas.split_at_mut(idx);
-            let out = &mut upper[0];
-            // Batch-aware just-in-time fault-back (tiered states): fault
-            // every cold chain this direction's delta will probe with one
-            // sequential read per touched segment, so the probe loop below
-            // runs against a hot-only store — the JISC completion
-            // discipline applied to the disk tier.
-            if self.plan.node(r).state.cold_entries() > 0 {
-                match pred {
-                    Some(_) => self.plan.node_mut(r).state.fault_in_all(&mut self.metrics),
-                    None => self.plan.node_mut(r).state.fault_in_keys(
-                        lower[li].iter().map(|(t, _, _)| t.key()),
-                        &mut self.metrics,
-                    ),
-                };
-            }
-            // Left delta × pre-run right state.
-            let prefetch_r = self.plan.node(r).state.len() >= PREFETCH_MIN_STATE;
-            for di in 0..lower[li].len() {
-                if prefetch_r {
-                    if let Some((_, _, hn)) = lower[li].get(di + PREFETCH_DIST) {
-                        self.plan.node(r).state.prefetch(*hn);
-                    }
-                }
-                let (t, f, h) = lower[li][di].clone();
-                let key = t.key();
-                sem.before_probe(self, r, key);
-                buf.clear();
-                match pred {
-                    Some(pr) => self.scan_theta_state_into(r, pr, key, false, &mut buf),
-                    None => self.lookup_state_into_hashed(r, h, key, &mut buf),
-                }
-                for m in buf.drain(..) {
-                    out.push((Tuple::joined(key, t.clone(), m), f, h));
-                }
-            }
-            // Same batch-aware prefault for the other direction.
-            if self.plan.node(l).state.cold_entries() > 0 {
-                match pred {
-                    Some(_) => self.plan.node_mut(l).state.fault_in_all(&mut self.metrics),
-                    None => self.plan.node_mut(l).state.fault_in_keys(
-                        lower[ri].iter().map(|(t, _, _)| t.key()),
-                        &mut self.metrics,
-                    ),
-                };
-            }
-            // Pre-run left state × right delta.
-            let prefetch_l = self.plan.node(l).state.len() >= PREFETCH_MIN_STATE;
-            for di in 0..lower[ri].len() {
-                if prefetch_l {
-                    if let Some((_, _, hn)) = lower[ri].get(di + PREFETCH_DIST) {
-                        self.plan.node(l).state.prefetch(*hn);
-                    }
-                }
-                let (t, f, h) = lower[ri][di].clone();
-                let key = t.key();
-                sem.before_probe(self, l, key);
-                buf.clear();
-                match pred {
-                    Some(pr) => self.scan_theta_state_into(l, pr, key, true, &mut buf),
-                    None => self.lookup_state_into_hashed(l, h, key, &mut buf),
-                }
-                for m in buf.drain(..) {
-                    out.push((Tuple::joined(key, m.clone(), t.clone()), f, h));
-                }
-            }
-            // Intra-batch term: left delta × right delta on key equality
-            // (batchable theta joins are `KeyEq`, so key equality is the
-            // join condition for both operator kinds). The result carries
-            // the fresh flag of whichever side's tuple is the later
-            // arrival — the item that would have triggered the join in
-            // per-tuple execution. Pairing is keyed through a one-shot
-            // index over the right delta instead of a nested loop: the
-            // loop was O(|δl|·|δr|) and dominated large-batch flushes
-            // (the B=256 regression); keying keeps it O(|δl|+|δr|+pairs)
-            // while emitting in exactly the nested loop's order.
-            let (la, ra) = (&lower[li], &lower[ri]);
-            if !la.is_empty() && !ra.is_empty() {
-                if la.len() * ra.len() > INTRA_PAIR_KEYED_MIN {
-                    let mut by_key: FxHashMap<Key, Vec<u32>> = FxHashMap::default();
-                    for (j, (b, _, _)) in ra.iter().enumerate() {
-                        by_key.entry(b.key()).or_default().push(j as u32);
-                    }
-                    for (a, fa, h) in la {
-                        if let Some(js) = by_key.get(&a.key()) {
-                            for &j in js {
-                                let (b, fb, _) = &ra[j as usize];
-                                let f = if a.max_seq() > b.max_seq() { *fa } else { *fb };
-                                out.push((Tuple::joined(a.key(), a.clone(), b.clone()), f, *h));
-                            }
-                        }
-                    }
-                } else {
-                    for (a, fa, h) in la {
-                        for (b, fb, _) in ra {
-                            if a.key() == b.key() {
-                                let f = if a.max_seq() > b.max_seq() { *fa } else { *fb };
-                                out.push((Tuple::joined(a.key(), a.clone(), b.clone()), f, *h));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.recycle_probe_scratch(buf);
-
-        // Phase II: install every delta into its own node's state (hash
-        // rides along, so installs never rehash); the root's delta is the
-        // batch's query output.
-        for i in 0..self.plan.topo().len() {
-            let id = self.plan.topo()[i];
-            let idx = id.0 as usize;
-            if deltas[idx].is_empty() {
-                continue;
-            }
-            let is_root = self.plan.node(id).parent.is_none();
-            let mut d = std::mem::take(&mut deltas[idx]);
-            for (t, _fresh, h) in d.drain(..) {
-                if is_root {
-                    self.state_insert_hashed(id, h, t.clone());
-                    self.emit(t);
-                } else {
-                    self.state_insert_hashed(id, h, t);
-                }
-            }
-            deltas[idx] = d;
-        }
-        // Large batches with selective joins can balloon a delta buffer;
-        // keep the reusable capacity bounded so one outlier batch does not
-        // pin its high-water allocation forever.
-        for d in &mut deltas {
-            if d.capacity() > DELTA_SCRATCH_CAP {
-                d.shrink_to(DELTA_SCRATCH_CAP);
-            }
-        }
-        self.batch_deltas = deltas;
     }
 
     // ----- punctuation -----
@@ -827,39 +470,7 @@ impl Pipeline {
             )));
         }
         self.last_ts = ts;
-        let mut expired = std::mem::take(&mut self.expired_scratch);
-        expired.clear();
-        for i in 0..self.catalog.len() {
-            if let WindowSpec::Time(d) = self.catalog.window_spec(StreamId(i as u16)) {
-                let ring = &mut self.rings[i];
-                while ring
-                    .front()
-                    .is_some_and(|(at, _)| ts.saturating_sub(*at) >= d)
-                {
-                    expired.push(ring.pop_front().expect("non-empty ring").1);
-                }
-            }
-        }
-        for old in expired.drain(..) {
-            let old_scan = self
-                .plan
-                .scan_of(old.stream)
-                .ok_or_else(|| JiscError::UnknownStream(format!("{}", old.stream)))?;
-            let old_fresh = self.fresh[old.stream.0 as usize]
-                .get(&old.key)
-                .is_none_or(|&s| s < self.last_transition_seq);
-            self.pending_items += 1;
-            self.plan.node_mut(old_scan).queue.push_back(QueueItem {
-                from: None,
-                payload: Payload::Remove {
-                    stream: old.stream,
-                    seq: old.seq,
-                    key: old.key,
-                    fresh: old_fresh,
-                },
-            });
-        }
-        self.expired_scratch = expired;
+        self.slide_windows(ts, None)?;
         self.run_with(sem);
         Ok(())
     }
@@ -1261,12 +872,12 @@ impl Pipeline {
     /// states (see [`crate::snapshot::BaseStateSnapshot`]).
     ///
     /// Returns `None` when the pipeline cannot be snapshotted right now:
-    /// mid-event (queued items or a deferred batch run in flight), or when
-    /// the plan contains an aggregate (aggregate accumulators are not part
-    /// of the base state, so a base snapshot could not restore them; such
-    /// plans recover by full replay instead).
+    /// mid-event (queued items), or when the plan contains an aggregate
+    /// (aggregate accumulators are not part of the base state, so a base
+    /// snapshot could not restore them; such plans recover by full replay
+    /// instead).
     pub fn snapshot_base_state(&self) -> Option<crate::snapshot::BaseStateSnapshot> {
-        if self.pending_items > 0 || !self.batch_run.is_empty() {
+        if self.pending_items > 0 {
             return None;
         }
         if self
@@ -1342,12 +953,12 @@ impl Pipeline {
     /// (join) states and completion bookkeeping are the rescale layer's
     /// concern (`jisc-core`), which can see the whole plan. Unlike a
     /// snapshot restore this runs against a *live* pipeline; it only
-    /// refuses mid-event (queued items or a deferred batch run in flight).
+    /// refuses mid-event (queued items).
     pub fn extract_base_range(
         &mut self,
         ranges: &[jisc_common::KeyRange],
     ) -> Result<crate::snapshot::BaseRangeExport> {
-        if self.pending_items > 0 || !self.batch_run.is_empty() {
+        if self.pending_items > 0 {
             return Err(JiscError::InvalidConfig(
                 "range extraction requires a quiescent pipeline".into(),
             ));
@@ -1419,7 +1030,7 @@ impl Pipeline {
     /// **not** rebuilt here: the caller marks them as completion debt
     /// (just-in-time) or materializes them eagerly via the rescale layer.
     pub fn absorb_base_range(&mut self, export: &crate::snapshot::BaseRangeExport) -> Result<()> {
-        if self.pending_items > 0 || !self.batch_run.is_empty() {
+        if self.pending_items > 0 {
             return Err(JiscError::InvalidConfig(
                 "range absorption requires a quiescent pipeline".into(),
             ));

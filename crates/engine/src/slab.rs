@@ -25,8 +25,8 @@
 //!
 //! The index exposes pre-hashed probes ([`SlabStore::for_each_match_hashed`])
 //! and a [`SlabStore::prefetch`] hint so the batched execution path in
-//! [`Pipeline::push_batch_with`](crate::Pipeline::push_batch_with) can hash a
-//! whole `TupleBatch` once and group-probe it with software prefetching.
+//! [`Pipeline::push_columnar_with`](crate::Pipeline::push_columnar_with) can
+//! hash a whole batch once and group-probe it with software prefetching.
 //!
 //! Probe work is observable: every find accumulates the number of control
 //! groups examined into [`Metrics::probe_depth`], and index rebuilds count
@@ -793,7 +793,7 @@ impl SlabStore {
         debug_assert!(
             !self.has_cold(key),
             "probe of cold-resident key {key} without fault-in; callers must \
-             fault_in_key(s) first (the batch prefault in flush_run)"
+             fault_in_key(s) first (the batch prefault in probe_direction)"
         );
         if let Some(idx) = self.index.find(h, key, &mut m.probe_depth) {
             // Singleton chain: the hot pair's inline mirror answers the

@@ -346,7 +346,7 @@ impl State {
     }
 
     /// [`State::for_each_match`] with the key's hash already computed —
-    /// the batch-probe kernel hashes a whole `TupleBatch` once and probes
+    /// the batch-probe kernel hashes a whole batch once and probes
     /// with [`State::prefetch`] warming the index ahead of each visit.
     /// Accounting is identical to [`State::for_each_match`].
     pub fn for_each_match_hashed(&self, h: u64, key: Key, m: &mut Metrics, f: impl FnMut(&Tuple)) {

@@ -41,8 +41,8 @@
 //! # In-band events
 //!
 //! Shard queues carry the unified [`Event`] stream: data travels as
-//! [`Event::Batch`] (router-built [`TupleBatch`](jisc_common::TupleBatch)es stamping each tuple with
-//! its global sequence number and timestamp), and
+//! [`Event::Columnar`] (router-built [`ColumnarBatch`]es stamping each
+//! tuple with its global sequence number and timestamp), and
 //! [`ShardedExecutor::transition`] validates the new plan once on the
 //! router (compile, same-query and reorderability checks), then broadcasts
 //! [`Event::MigrationBarrier`] on every shard's FIFO queue. Each worker
@@ -125,26 +125,6 @@ use crate::supervisor::{
 };
 
 pub use crate::supervisor::ShardStrategy;
-
-/// Which operator semantics each shard drains its pipeline with (legacy
-/// two-state surface; [`ShardStrategy`] is the full version).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardSemantics {
-    /// Plain pipelined execution; plan transitions are rejected.
-    Default,
-    /// Just-in-time state completion; transitions broadcast as barriers.
-    #[default]
-    Jisc,
-}
-
-impl From<ShardSemantics> for ShardStrategy {
-    fn from(s: ShardSemantics) -> ShardStrategy {
-        match s {
-            ShardSemantics::Default => ShardStrategy::Pipelined,
-            ShardSemantics::Jisc => ShardStrategy::Jisc,
-        }
-    }
-}
 
 /// Events are shipped in batches to amortize queue synchronization.
 const BATCH: usize = 64;
@@ -555,7 +535,6 @@ impl ReplayEvent {
     /// Data tuples this entry carries (for shed/replay accounting).
     fn tuple_count(&self) -> u64 {
         match self {
-            ReplayEvent::Event(Event::Batch(b)) => b.len() as u64,
             ReplayEvent::Event(Event::Columnar(b)) => b.len() as u64,
             _ => 0,
         }
@@ -574,7 +553,7 @@ impl ReplayEvent {
 ///
 /// ```
 /// use jisc_engine::{Catalog, JoinStyle, PlanSpec};
-/// use jisc_runtime::shard::{ShardSemantics, ShardedExecutor};
+/// use jisc_runtime::shard::{ShardedConfig, ShardedExecutor};
 /// use jisc_common::StreamId;
 ///
 /// let catalog = Catalog::new(vec![
@@ -583,7 +562,7 @@ impl ReplayEvent {
 /// ]).unwrap();
 /// let plan = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
 /// let mut exec =
-///     ShardedExecutor::spawn(catalog, &plan, ShardSemantics::Jisc, 2, 256).unwrap();
+///     ShardedExecutor::spawn_with(catalog, &plan, ShardedConfig::for_shards(2)).unwrap();
 /// exec.push(StreamId(0), 7, 0).unwrap();
 /// exec.push(StreamId(1), 7, 0).unwrap();
 /// let report = exec.finish().unwrap();
@@ -708,27 +687,6 @@ fn key_partitionable(plan: &Plan) -> bool {
 }
 
 impl ShardedExecutor {
-    /// Spawn with the legacy signature: `shards` workers (min 1) running
-    /// `spec` under `semantics`, default supervision settings.
-    pub fn spawn(
-        catalog: Catalog,
-        spec: &PlanSpec,
-        semantics: ShardSemantics,
-        shards: usize,
-        queue_capacity: usize,
-    ) -> Result<Self> {
-        ShardedExecutor::spawn_with(
-            catalog,
-            spec,
-            ShardedConfig {
-                strategy: semantics.into(),
-                shards,
-                queue_capacity,
-                ..ShardedConfig::default()
-            },
-        )
-    }
-
     /// Spawn a supervised sharded runtime.
     ///
     /// Plans with non-equi theta joins are not key-partitionable and fall
@@ -1949,6 +1907,15 @@ mod tests {
         pipe
     }
 
+    fn config(strategy: ShardStrategy, shards: usize, queue_capacity: usize) -> ShardedConfig {
+        ShardedConfig {
+            strategy,
+            shards,
+            queue_capacity,
+            ..ShardedConfig::default()
+        }
+    }
+
     fn arrivals(n: u64, streams: u16, keys: u64) -> Vec<(u16, Key, u64)> {
         (0..n)
             .map(|i| ((i % streams as u64) as u16, (i * 7 + 3) % keys, i))
@@ -1961,12 +1928,10 @@ mod tests {
         let events = arrivals(600, 3, 17);
         let serial = serial_run(timed_catalog(&["R", "S", "T"], 40), &spec, &events);
         for n in [1, 2, 4] {
-            let mut exec = ShardedExecutor::spawn(
+            let mut exec = ShardedExecutor::spawn_with(
                 timed_catalog(&["R", "S", "T"], 40),
                 &spec,
-                ShardSemantics::Jisc,
-                n,
-                64,
+                config(ShardStrategy::Jisc, n, 64),
             )
             .unwrap();
             assert_eq!(exec.shards(), n);
@@ -1992,12 +1957,10 @@ mod tests {
         // so many outputs tie on (max_seq, min_seq) and need the lineage.
         let events = arrivals(300, 3, 4);
         let run = |n, migrate: bool| {
-            let mut exec = ShardedExecutor::spawn(
+            let mut exec = ShardedExecutor::spawn_with(
                 timed_catalog(&["R", "S", "T"], 30),
                 &spec,
-                ShardSemantics::Jisc,
-                n,
-                32,
+                config(ShardStrategy::Jisc, n, 32),
             )
             .unwrap();
             for (i, &(s, k, p)) in events.iter().enumerate() {
@@ -2047,12 +2010,10 @@ mod tests {
             serial.push_with(&mut sem, StreamId(s), k, p).unwrap();
         }
         for n in [1, 2, 4] {
-            let mut exec = ShardedExecutor::spawn(
+            let mut exec = ShardedExecutor::spawn_with(
                 timed_catalog(&["R", "S", "T"], 60),
                 &spec,
-                ShardSemantics::Jisc,
-                n,
-                64,
+                config(ShardStrategy::Jisc, n, 64),
             )
             .unwrap();
             for &(s, k, p) in &events[..250] {
@@ -2080,7 +2041,9 @@ mod tests {
     fn theta_plans_fall_back_to_serial() {
         let catalog = timed_catalog(&["R", "S"], 50);
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Nlj(Predicate::BandWithin(2)));
-        let exec = ShardedExecutor::spawn(catalog, &spec, ShardSemantics::Default, 4, 32).unwrap();
+        let exec =
+            ShardedExecutor::spawn_with(catalog, &spec, config(ShardStrategy::Pipelined, 4, 32))
+                .unwrap();
         assert_eq!(exec.shards(), 1, "band joins are not key-partitionable");
         let report = exec.finish().unwrap();
         assert_eq!(report.events, 0);
@@ -2090,7 +2053,8 @@ mod tests {
     fn count_windows_report_inexact() {
         let catalog = Catalog::uniform(&["R", "S"], 10).unwrap();
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
-        let exec = ShardedExecutor::spawn(catalog, &spec, ShardSemantics::Jisc, 4, 32).unwrap();
+        let exec = ShardedExecutor::spawn_with(catalog, &spec, config(ShardStrategy::Jisc, 4, 32))
+            .unwrap();
         assert_eq!(exec.shards(), 4);
         assert_eq!(
             exec.exactness(),
@@ -2114,7 +2078,8 @@ mod tests {
         // tests and experiments can still deliberately oversubscribe.
         let catalog = Catalog::uniform(&["R", "S"], 10).unwrap();
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
-        let exec = ShardedExecutor::spawn(catalog, &spec, ShardSemantics::Jisc, 3, 32).unwrap();
+        let exec = ShardedExecutor::spawn_with(catalog, &spec, config(ShardStrategy::Jisc, 3, 32))
+            .unwrap();
         assert_eq!(exec.shards(), 3);
     }
 
@@ -2123,7 +2088,8 @@ mod tests {
         let catalog = timed_catalog(&["R", "S"], 50);
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
         let mut exec =
-            ShardedExecutor::spawn(catalog, &spec, ShardSemantics::Default, 2, 32).unwrap();
+            ShardedExecutor::spawn_with(catalog, &spec, config(ShardStrategy::Pipelined, 2, 32))
+                .unwrap();
         let swapped = PlanSpec::left_deep(&["S", "R"], JoinStyle::Hash);
         assert!(exec.transition(&swapped).is_err());
         exec.finish().unwrap();
@@ -2136,12 +2102,10 @@ mod tests {
         events: &[(u16, Key, u64)],
         shards: usize,
     ) -> ShardedReport {
-        let mut exec = ShardedExecutor::spawn(
+        let mut exec = ShardedExecutor::spawn_with(
             timed_catalog(&["R", "S", "T"], 40),
             spec,
-            ShardSemantics::Jisc,
-            shards,
-            64,
+            config(ShardStrategy::Jisc, shards, 64),
         )
         .unwrap();
         for &(s, k, p) in events {
@@ -2378,12 +2342,10 @@ mod tests {
         let spec = PlanSpec::left_deep(&["R", "S", "T"], JoinStyle::Hash);
         let events = arrivals(600, 3, 17);
         let serial = serial_run(timed_catalog(&["R", "S", "T"], 40), &spec, &events);
-        let mut exec = ShardedExecutor::spawn(
+        let mut exec = ShardedExecutor::spawn_with(
             timed_catalog(&["R", "S", "T"], 40),
             &spec,
-            ShardSemantics::Jisc,
-            2,
-            64,
+            config(ShardStrategy::Jisc, 2, 64),
         )
         .unwrap();
         for &(s, k, p) in &events[..300] {
@@ -2599,12 +2561,10 @@ mod tests {
         for &(s, k, p) in &events[200..] {
             serial.push_with(&mut sem, StreamId(s), k, p).unwrap();
         }
-        let mut exec = ShardedExecutor::spawn(
+        let mut exec = ShardedExecutor::spawn_with(
             timed_catalog(&["R", "S", "T"], 60),
             &spec,
-            ShardSemantics::Jisc,
-            2,
-            64,
+            config(ShardStrategy::Jisc, 2, 64),
         )
         .unwrap();
         for &(s, k, p) in &events[..200] {
@@ -2634,17 +2594,17 @@ mod tests {
         // Count windows: per-shard quotas make a handover unsound.
         let catalog = Catalog::uniform(&["R", "S"], 10).unwrap();
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
-        let mut exec = ShardedExecutor::spawn(catalog, &spec, ShardSemantics::Jisc, 2, 32).unwrap();
+        let mut exec =
+            ShardedExecutor::spawn_with(catalog, &spec, config(ShardStrategy::Jisc, 2, 32))
+                .unwrap();
         assert!(exec.split_hot_key(3).is_err());
         exec.finish().unwrap();
 
         // Epoch discipline: a stale or skipping epoch is rejected.
-        let mut exec = ShardedExecutor::spawn(
+        let mut exec = ShardedExecutor::spawn_with(
             timed_catalog(&["R", "S"], 50),
             &spec,
-            ShardSemantics::Jisc,
-            2,
-            32,
+            config(ShardStrategy::Jisc, 2, 32),
         )
         .unwrap();
         let same_epoch = PartitionMap::uniform(2);
